@@ -180,17 +180,17 @@ impl<'d> Lowerer<'d> {
         let aligned = (q0, q1) == (g0, g1);
         match gate {
             Gate::Swap => {
-                self.emit(basis, &basis.swap.circuit.clone(), g0, g1, out);
+                self.emit(basis, &basis.swap.circuit, g0, g1, out);
                 Ok(())
             }
             Gate::Cx => {
                 if aligned {
-                    self.emit(basis, &basis.cnot.circuit.clone(), g0, g1, out);
+                    self.emit(basis, &basis.cnot.circuit, g0, g1, out);
                 } else {
                     // Reversed CNOT = (H (x) H) CNOT (H (x) H).
                     out.push(local(g0, Mat2::h()));
                     out.push(local(g1, Mat2::h()));
-                    self.emit(basis, &basis.cnot.circuit.clone(), g0, g1, out);
+                    self.emit(basis, &basis.cnot.circuit, g0, g1, out);
                     out.push(local(g0, Mat2::h()));
                     out.push(local(g1, Mat2::h()));
                 }

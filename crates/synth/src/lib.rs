@@ -5,10 +5,11 @@
 //! Choose Its Basis Gates* (MICRO 2022).
 //!
 //! The synthesis ansatz alternates local (1Q (x) 1Q) unitaries with fixed
-//! entangling layers; the locals are optimized by an alternating SVD
-//! "environment" method, and the number of layers is chosen with an
-//! analytic depth oracle built on the paper's Weyl-chamber region geometry,
-//! skipping directly to the theoretically guaranteed depth.
+//! entangling layers; the locals are optimized by alternating SVD
+//! "environment" sweeps finished by a Levenberg–Marquardt solve, and the
+//! number of layers is chosen with an analytic depth oracle built on the
+//! paper's Weyl-chamber region geometry, skipping directly to the
+//! theoretically guaranteed depth.
 //!
 //! ```
 //! use nsb_math::Mat4;
@@ -27,14 +28,12 @@
 mod ansatz;
 mod cache;
 mod decomposer;
-mod kak_full;
 mod optimizer;
 mod oracle;
 
 pub use ansatz::{build_ansatz, Synthesized2Q};
 pub use cache::{mat4_fingerprint, quantize_coord, NoCache, StableHasher, SynthCache, SynthKey};
 pub use decomposer::{decompose_with_bases, Decomposer, DecomposerConfig, SynthesisFailed};
-pub use kak_full::{kak_decompose, KakDecomposition};
 pub use optimizer::{
     optimize_locals, optimize_with_restarts, optimize_with_restarts_ws, OptimizerConfig, RunResult,
     Workspace,

@@ -5,7 +5,8 @@
 //! inequalities). Those inequality tables are not reproducible offline, so
 //! this workspace substitutes a *certified numerical oracle*: a target is
 //! declared decomposable into the given layers when multi-restart
-//! alternating-SVD synthesis reaches decomposition error below `1e-9`. The
+//! synthesis (alternating SVD sweeps with an LM finish) reaches the
+//! decomposition-error tolerance of [`OracleConfig`]. The
 //! oracle is cross-validated against the paper's closed-form region
 //! geometry (Figure 4) in this module's tests and in the `fig4_regions`
 //! bench binary.
